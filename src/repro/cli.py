@@ -40,9 +40,10 @@ Every simulation command takes ``--instructions`` and ``--seed``;
 results are printed as the same text tables the benchmark harness
 emits.  ``compare``, ``sweep``, ``stats`` and ``endoflife`` additionally
 accept ``--trace-out FILE`` (JSONL event trace), ``--profile``
-(phase-timer report) and ``--ledger FILE`` (append run-provenance
-records); the sweep-engine commands take ``--jobs/-j`` (worker
-processes) and ``--progress`` (live single-line status with ETA);
+(per-phase wall-time table from the run's phase spans) and
+``--ledger FILE`` (append run-provenance records); the sweep-engine
+commands take ``--jobs/-j`` (worker processes) and ``--progress``
+(live single-line status with ETA);
 the sweep-engine commands also take ``--retries N`` (transient-failure
 retry budget), ``--job-timeout SECONDS`` (per-job watchdog deadline;
 see docs/RESILIENCE.md), ``--serve [PORT]`` (live ``/status`` and
@@ -65,6 +66,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import contextmanager
 
 from repro.common.errors import ReproError, SweepCancelled
 from repro.config import baseline_config
@@ -99,7 +101,8 @@ def _add_telemetry(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--trace-out", metavar="FILE", default=None,
                         help="write a JSONL event trace to FILE")
     parser.add_argument("--profile", action="store_true",
-                        help="print a phase-timer report after the run")
+                        help="print a per-phase wall-time table after "
+                             "the run")
 
 
 def _add_jobs(parser: argparse.ArgumentParser) -> None:
@@ -166,11 +169,100 @@ def _start_monitor(args, total: int, *, label=None, registry=None):
     return state, server
 
 
-def _make_telemetry(args, **kwargs) -> Telemetry | None:
-    """A Telemetry handle when any observability flag is set, else None."""
-    if not (args.trace_out or args.profile):
+def _make_telemetry(args) -> Telemetry | None:
+    """A tracing Telemetry handle under ``--trace-out``, else None.
+
+    ``--profile`` needs no handle: phases are timed by span recording,
+    which leaves the replay kernel engaged.
+    """
+    if not args.trace_out:
         return None
-    return Telemetry(trace=bool(args.trace_out), profile=args.profile, **kwargs)
+    return Telemetry(trace=True)
+
+
+@contextmanager
+def _span_recorder(args):
+    """The recorder behind ``--spans``/``--profile`` (None without either).
+
+    ``--spans FILE`` streams each finished span to FILE, truncated
+    unless ``--resume``; ``--profile`` reads the phase spans back from
+    the recorder once the run is over.
+    """
+    path = getattr(args, "spans", None)
+    if path is None and not args.profile:
+        yield None
+        return
+    from repro.obs.spans import SpanRecorder, SpanWriter
+
+    if path is None:
+        yield SpanRecorder()
+        return
+    with SpanWriter(path) as writer:
+        writer.open(truncate=not getattr(args, "resume", False))
+        yield SpanRecorder(sink=writer.record)
+
+
+def _phase_table(spans) -> str:
+    """Per-phase wall-time table over a span set ("" without phases)."""
+    from repro.obs.spans import phase_wall_table
+
+    rows = phase_wall_table(spans)
+    if not rows:
+        return ""
+    return format_table(
+        ["phase", "calls", "total [s]", "mean [s]"],
+        [(name, calls, f"{total:.3f}", f"{mean:.4f}")
+         for name, calls, total, mean in rows],
+    )
+
+
+def _print_profile(args, recorder) -> None:
+    """``--profile``: the phase table of the spans this run recorded."""
+    if args.profile:
+        print("\n" + (_phase_table(recorder.spans) or "(no phases recorded)"))
+
+
+class _CellTrace:
+    """``--trace-out`` export for a sweep sharing one telemetry handle.
+
+    Serial cells run back to back on the shared event ring, so the
+    dispatch hook — fired just before each cell — flushes the previous
+    cell's events stamped with its labels.  Parallel cells merge back
+    already stamped; :meth:`finish` exports them in one go.
+    """
+
+    def __init__(self, args, telemetry: Telemetry | None) -> None:
+        self.path = args.trace_out
+        self.trace = telemetry.trace if telemetry is not None else None
+        self.serial = args.jobs == 1
+        self.labels: dict | None = None
+        self.events = 0
+
+    def dispatch(self, **labels) -> None:
+        """A serial cell starts: flush the previous cell's events."""
+        if self.trace is None or not self.serial:
+            return
+        if self.labels is not None:
+            self._flush()
+        self.labels = labels
+
+    def _flush(self) -> None:
+        # Appending only once events exist: rewriting an empty file
+        # loses nothing.
+        self.events += self.trace.export_jsonl(
+            self.path, append=self.events > 0, extra=self.labels,
+        )
+        self.trace.clear()
+
+    def finish(self) -> int:
+        """Export the remaining events; the total written to the file."""
+        if self.trace is None:
+            return 0
+        if self.labels is not None:
+            self._flush()
+        else:
+            self.events = self.trace.export_jsonl(self.path)
+        return self.events
 
 
 def _make_progress(args, total: int):
@@ -196,6 +288,9 @@ def _cmd_table2(args) -> int:
 
 
 def _cmd_compare(args) -> int:
+    from repro.jobs.scheduler import matrix_jobs, run_jobs
+    from repro.obs.progress import tee_observers
+
     config = baseline_config()
     workloads = make_workloads(num_cores=config.num_cores, seed=args.seed)
     index = args.workload - 1
@@ -204,93 +299,51 @@ def _cmd_compare(args) -> int:
         return 2
     workload = workloads[index]
     print(f"{workload.name}: {', '.join(workload.apps)}\n")
-    stage1 = Stage1Cache(store=args.stage1_cache)
     telemetry = _make_telemetry(args)
-    observer = _make_progress(args, total=len(args.schemes))
-    rows = []
-    traced = 0
-    # Span recording and the monitor endpoint live in the sweep engine,
-    # so either flag routes through it even single-worker.
-    if args.jobs > 1 or args.spans is not None or args.serve is not None:
-        from repro.jobs.scheduler import matrix_jobs, run_jobs
-        from repro.obs.progress import tee_observers
-
-        jobs = matrix_jobs(
-            [workload], tuple(args.schemes), config,
-            seed=args.seed, n_instructions=args.instructions,
-        )
-        monitor, server = _start_monitor(
-            args, len(jobs), label=workload.name,
-            registry=telemetry.registry if telemetry is not None else None,
-        )
-        if observer is not None and server is not None:
-            observer.serving = server.port
-        try:
+    cells = _CellTrace(args, telemetry)
+    jobs = matrix_jobs(
+        [workload], tuple(args.schemes), config,
+        seed=args.seed, n_instructions=args.instructions,
+    )
+    observer = _make_progress(args, total=len(jobs))
+    monitor, server = _start_monitor(
+        args, len(jobs), label=workload.name,
+        registry=telemetry.registry if telemetry is not None else None,
+    )
+    if observer is not None and server is not None:
+        observer.serving = server.port
+    try:
+        with _span_recorder(args) as recorder:
             results, _report = run_jobs(
                 jobs, max_workers=args.jobs, telemetry=telemetry,
                 stage1_store=args.stage1_cache,
+                progress=lambda job: cells.dispatch(scheme=job.spec.scheme),
                 observer=tee_observers(
                     observer,
                     monitor.observe if monitor is not None else None,
                 ),
                 ledger=args.ledger,
                 retries=args.retries, job_timeout_s=args.job_timeout,
-                spans=args.spans,
+                spans=recorder,
             )
-            if monitor is not None:
-                monitor.finish()
-        finally:
-            if server is not None:
-                server.stop()
-        if observer is not None:
-            observer.close()
-        if telemetry is not None and telemetry.trace is not None:
-            # Merged worker events arrive stamped with their scheme, so
-            # one export replaces the serial per-scheme flush.
-            traced = telemetry.trace.export_jsonl(args.trace_out)
-    else:
-        import time as _time
-
-        from repro.obs.progress import JobEvent
-
-        results = []
-        for number, scheme in enumerate(args.schemes):
-            if observer is not None:
-                observer(JobEvent(
-                    "dispatch", f"{workload.name}/{scheme}", number,
-                ))
-            started = _time.perf_counter()
-            results.append(run_workload(
-                workload, scheme, config, seed=args.seed,
-                n_instructions=args.instructions, stage1=stage1,
-                telemetry=telemetry, ledger=args.ledger,
-            ))
-            if observer is not None:
-                observer(JobEvent(
-                    "done", f"{workload.name}/{scheme}", number,
-                    wall_time_s=_time.perf_counter() - started,
-                ))
-            if telemetry is not None and telemetry.trace is not None:
-                traced += telemetry.trace.export_jsonl(
-                    args.trace_out, append=number > 0,
-                    extra={"scheme": scheme},
-                )
-                telemetry.trace.clear()
-        if observer is not None:
-            observer.close()
-    for result in results:
-        rows.append((
-            result.scheme, result.ipc, result.min_lifetime,
-            result.wear_cov,
-            result.llc_fetch_hit_rate,
-        ))
+        if monitor is not None:
+            monitor.finish()
+    finally:
+        if server is not None:
+            server.stop()
+    if observer is not None:
+        observer.close()
+    rows = [
+        (result.scheme, result.ipc, result.min_lifetime, result.wear_cov,
+         result.llc_fetch_hit_rate)
+        for result in results
+    ]
     print(format_table(
         ["scheme", "IPC", "min life [y]", "wear CV", "LLC hit"], rows
     ))
     if args.trace_out:
-        print(f"\nwrote {traced} events to {args.trace_out}")
-    if args.profile:
-        print("\n" + telemetry.profiler.report())
+        print(f"\nwrote {cells.finish()} events to {args.trace_out}")
+    _print_profile(args, recorder)
     return 0
 
 
@@ -380,27 +433,28 @@ def _cmd_sweep(args) -> int:
     if observer is not None and server is not None:
         observer.serving = server.port
     try:
-        results, report = run_jobs(
-            jobs,
-            max_workers=args.jobs,
-            cache=args.cache_dir,
-            journal=args.journal,
-            resume=args.resume,
-            retries=args.retries,
-            stage1_store=args.stage1_cache,
-            telemetry=telemetry,
-            # The live status line owns stderr; per-cell narration yields.
-            progress=None if observer is not None else _narrate,
-            observer=tee_observers(
-                observer, monitor.observe if monitor is not None else None,
-            ),
-            ledger=args.ledger,
-            job_timeout_s=args.job_timeout,
-            keep_going=args.keep_going,
-            quarantine=args.quarantine,
-            chaos=args.chaos,
-            spans=args.spans,
-        )
+        with _span_recorder(args) as recorder:
+            results, report = run_jobs(
+                jobs,
+                max_workers=args.jobs,
+                cache=args.cache_dir,
+                journal=args.journal,
+                resume=args.resume,
+                retries=args.retries,
+                stage1_store=args.stage1_cache,
+                telemetry=telemetry,
+                # The live status line owns stderr; per-cell narration yields.
+                progress=None if observer is not None else _narrate,
+                observer=tee_observers(
+                    observer, monitor.observe if monitor is not None else None,
+                ),
+                ledger=args.ledger,
+                job_timeout_s=args.job_timeout,
+                keep_going=args.keep_going,
+                quarantine=args.quarantine,
+                chaos=args.chaos,
+                spans=recorder,
+            )
         if monitor is not None:
             monitor.finish()
     finally:
@@ -441,8 +495,7 @@ def _cmd_sweep(args) -> int:
     if args.trace_out and telemetry.trace is not None:
         traced = telemetry.trace.export_jsonl(args.trace_out)
         print(f"\nwrote {traced} events to {args.trace_out}")
-    if args.profile:
-        print("\n" + telemetry.profiler.report())
+    _print_profile(args, recorder)
     if report.failed:
         where = f" (quarantine: {args.quarantine})" if args.quarantine else ""
         print(
@@ -521,30 +574,31 @@ def _cmd_search(args) -> int:
     if observer is not None and server is not None:
         observer.serving = server.port
     try:
-        outcome = run_search(
-            space,
-            driver=args.driver,
-            sampler=args.sampler,
-            n_points=args.points,
-            budget_schedule=args.budget_schedule,
-            objectives=tuple(args.objectives),
-            workload_numbers=workload_numbers,
-            seed=args.seed,
-            promote=args.promote,
-            max_workers=args.jobs,
-            cache=args.cache_dir,
-            journal=args.journal,
-            resume=args.resume,
-            retries=args.retries,
-            stage1_store=args.stage1_cache,
-            telemetry=telemetry,
-            observer=tee_observers(
-                observer, monitor.observe if monitor is not None else None,
-            ),
-            ledger=args.ledger,
-            job_timeout_s=args.job_timeout,
-            spans=args.spans,
-        )
+        with _span_recorder(args) as recorder:
+            outcome = run_search(
+                space,
+                driver=args.driver,
+                sampler=args.sampler,
+                n_points=args.points,
+                budget_schedule=args.budget_schedule,
+                objectives=tuple(args.objectives),
+                workload_numbers=workload_numbers,
+                seed=args.seed,
+                promote=args.promote,
+                max_workers=args.jobs,
+                cache=args.cache_dir,
+                journal=args.journal,
+                resume=args.resume,
+                retries=args.retries,
+                stage1_store=args.stage1_cache,
+                telemetry=telemetry,
+                observer=tee_observers(
+                    observer, monitor.observe if monitor is not None else None,
+                ),
+                ledger=args.ledger,
+                job_timeout_s=args.job_timeout,
+                spans=recorder,
+            )
         if monitor is not None:
             monitor.finish()
     finally:
@@ -586,8 +640,7 @@ def _cmd_search(args) -> int:
             title=f"Re-NUCA design-space search: {args.label}",
         ))
         print(f"wrote Pareto report to {args.html}")
-    if args.profile:
-        print("\n" + telemetry.profiler.report())
+    _print_profile(args, recorder)
     return 0
 
 
@@ -599,27 +652,12 @@ def _cmd_endoflife(args) -> int:
     )
 
     telemetry = _make_telemetry(args)
-    # The sweep shares one Telemetry handle; the event ring is flushed to
-    # the JSONL file per (scheme, age) cell — `progress` fires just
-    # before each cell, so flushing there stamps the right cell labels.
-    state = {"cell": None, "events": 0, "flushed": False}
-
-    def _flush() -> None:
-        scheme, age = state["cell"]
-        state["events"] += telemetry.trace.export_jsonl(
-            args.trace_out, append=state["flushed"],
-            extra={"scheme": scheme, "age": age},
-        )
-        state["flushed"] = True
-        telemetry.trace.clear()
+    cells = _CellTrace(args, telemetry)
 
     def _progress(scheme: str, age: float) -> None:
         if observer is None:
             print(f"  running {scheme} at age {age:.2f} ...", file=sys.stderr)
-        if args.jobs == 1 and telemetry is not None and telemetry.trace is not None:
-            if state["cell"] is not None:
-                _flush()
-            state["cell"] = (scheme, age)
+        cells.dispatch(scheme=scheme, age=age)
 
     from repro.obs.progress import tee_observers
 
@@ -635,26 +673,27 @@ def _cmd_endoflife(args) -> int:
     if observer is not None and server is not None:
         observer.serving = server.port
     try:
-        curves = run_endoflife(
-            workload_number=args.workload,
-            ages=swept_ages,
-            schemes=schemes,
-            seed=args.seed,
-            n_instructions=args.instructions,
-            stage1_store=args.stage1_cache,
-            bank_failures=tuple(args.fail_bank),
-            transient_rate=args.transient_rate,
-            progress=_progress,
-            telemetry=telemetry,
-            max_workers=args.jobs,
-            observer=tee_observers(
-                observer, monitor.observe if monitor is not None else None,
-            ),
-            ledger=args.ledger,
-            retries=args.retries,
-            job_timeout_s=args.job_timeout,
-            spans=args.spans,
-        )
+        with _span_recorder(args) as recorder:
+            curves = run_endoflife(
+                workload_number=args.workload,
+                ages=swept_ages,
+                schemes=schemes,
+                seed=args.seed,
+                n_instructions=args.instructions,
+                stage1_store=args.stage1_cache,
+                bank_failures=tuple(args.fail_bank),
+                transient_rate=args.transient_rate,
+                progress=_progress,
+                telemetry=telemetry,
+                max_workers=args.jobs,
+                observer=tee_observers(
+                    observer, monitor.observe if monitor is not None else None,
+                ),
+                ledger=args.ledger,
+                retries=args.retries,
+                job_timeout_s=args.job_timeout,
+                spans=recorder,
+            )
         if monitor is not None:
             monitor.finish()
     finally:
@@ -662,16 +701,11 @@ def _cmd_endoflife(args) -> int:
             server.stop()
     if observer is not None:
         observer.close()
-    if state["cell"] is not None:
-        _flush()
-    elif args.jobs > 1 and telemetry is not None and telemetry.trace is not None:
-        # Parallel cells merge back stamped with scheme/age; one export.
-        state["events"] = telemetry.trace.export_jsonl(args.trace_out)
+    traced = cells.finish()
     print(render_endoflife(curves))
     if args.trace_out:
-        print(f"\nwrote {state['events']} events to {args.trace_out}")
-    if args.profile:
-        print("\n" + telemetry.profiler.report())
+        print(f"\nwrote {traced} events to {args.trace_out}")
+    _print_profile(args, recorder)
     return 0
 
 
@@ -679,20 +713,16 @@ def _cmd_stats(args) -> int:
     from repro.experiments.ascii_plot import interval_heatmap
 
     if args.from_spans:
-        from repro.obs.spans import load_spans, phase_wall_table
+        from repro.obs.spans import load_spans
 
         spans = load_spans(args.from_spans)
-        rows = phase_wall_table(spans)
-        if not rows:
+        table = _phase_table(spans)
+        if not table:
             print(f"no phase spans in {args.from_spans}")
             return 0
         print(f"phase wall time over {len(spans)} spans "
               f"({args.from_spans}):")
-        print(format_table(
-            ["phase", "calls", "total [s]", "mean [s]"],
-            [(name, calls, f"{total:.3f}", f"{mean:.4f}")
-             for name, calls, total, mean in rows],
-        ))
+        print(table)
         return 0
 
     config = baseline_config()
@@ -713,13 +743,13 @@ def _cmd_stats(args) -> int:
         telemetry = Telemetry(
             trace=bool(args.trace_out),
             interval_instructions=args.interval,
-            profile=args.profile,
         )
-        result = run_workload(
-            workload, scheme, config, seed=args.seed,
-            n_instructions=args.instructions, stage1=stage1,
-            telemetry=telemetry, ledger=args.ledger,
-        )
+        with _span_recorder(args) as recorder:
+            result = run_workload(
+                workload, scheme, config, seed=args.seed,
+                n_instructions=args.instructions, stage1=stage1,
+                telemetry=telemetry, ledger=args.ledger, spans=recorder,
+            )
         if telemetry.trace is not None:
             traced += telemetry.trace.export_jsonl(
                 args.trace_out, append=number > 0, extra={"scheme": scheme},
@@ -756,8 +786,7 @@ def _cmd_stats(args) -> int:
                           "(shade = relative write pressure)",
                 ))
         covs[scheme] = result.wear_cov
-        if args.profile:
-            print("\n" + telemetry.profiler.report())
+        _print_profile(args, recorder)
     print("\nper-bank write CoV (lower = more even wear):")
     for scheme, cov in covs.items():
         print(f"  {scheme:>8s}  {cov:.3f}")
@@ -1172,8 +1201,8 @@ def build_parser() -> argparse.ArgumentParser:
                           help="output HTML path (single file, no "
                                "external references)")
     p_report.add_argument("--ledger", metavar="FILE", default=None,
-                          help="run ledger for the history and profiler "
-                               "sections")
+                          help="run ledger for the history and phase "
+                               "timing sections")
     p_report.add_argument("--title", default=None, help="report title")
 
     p_bench = sub.add_parser(

@@ -79,7 +79,13 @@ from repro.jobs.journal import QuarantineJournal, SweepJournal
 from repro.jobs.spec import JobSpec
 from repro.obs.ledger import RunLedger, RunRecord, as_ledger
 from repro.obs.progress import JobEvent, tee_observers
-from repro.obs.spans import SpanObserver, SpanRecorder, SpanWriter
+from repro.obs.spans import (
+    Span,
+    SpanObserver,
+    SpanRecorder,
+    SpanWriter,
+    phase_totals,
+)
 from repro.sim.metrics import WorkloadSchemeResult
 from repro.sim.runner import DEFAULT_INSTRUCTIONS, Stage1Cache, run_workload
 from repro.sim.stage1_store import Stage1Store, as_stage1_store
@@ -178,13 +184,13 @@ class _Payload:
     trace: bool
     trace_capacity: int
     interval_instructions: int
-    profile: bool = False
     #: Zero-based attempt number (rebuilt per submission for retries).
     attempt: int = 0
     #: Fault-injection plan for chaos tests; None in production runs.
     chaos: ChaosPlan | None = None
     #: Span tracing: record run_workload phase spans in the worker and
-    #: ship them back for the parent-side deterministic merge.
+    #: ship them back for the parent-side deterministic merge (and the
+    #: cell's ledger phase totals).
     spans: bool = False
     #: The sweep's shared trace id (span identity derives from it).
     trace_id: str | None = None
@@ -203,7 +209,6 @@ class _Outcome:
     result: WorkloadSchemeResult
     registry_state: dict | None = None
     events: list = field(default_factory=list)
-    profiler_state: list | None = None
     wall_time_s: float = 0.0
     #: Finished worker-side spans (``SpanRecorder.export_state``).
     span_state: list | None = None
@@ -229,7 +234,6 @@ def _execute_payload(payload: _Payload) -> _Outcome:
             trace=payload.trace,
             trace_capacity=payload.trace_capacity,
             interval_instructions=payload.interval_instructions,
-            profile=payload.profile,
         )
     recorder = None
     scope = nullcontext()
@@ -268,10 +272,6 @@ def _execute_payload(payload: _Payload) -> _Outcome:
         registry_state=telemetry.registry.export_state(),
         events=(
             telemetry.trace.events() if telemetry.trace is not None else []
-        ),
-        profiler_state=(
-            telemetry.profiler.export_state()
-            if telemetry.profiler.enabled else None
         ),
         wall_time_s=wall_time_s,
         span_state=span_state,
@@ -318,10 +318,6 @@ def _merge_outcome(
         return
     if outcome.registry_state is not None:
         telemetry.registry.merge_state(outcome.registry_state)
-    # Never merge into the shared DISABLED_PROFILER singleton: a parent
-    # that did not ask for profiling drops the worker's phase totals.
-    if telemetry.profiler.enabled and outcome.profiler_state:
-        telemetry.profiler.merge_state(outcome.profiler_state)
     if telemetry.trace is not None and outcome.events:
         extra = {"workload": job.spec.workload, "scheme": job.spec.scheme}
         if job.spec.fault is not None:
@@ -841,12 +837,11 @@ def _run_serial(
 ) -> None:
     """In-process execution: the legacy sequential sweep, plus retries.
 
-    Serial runs thread the parent telemetry (and so its profiler)
-    straight through, so per-job phase totals are not separable; ledger
-    records get an empty ``profile`` and the parent profiler keeps the
-    whole picture.  The watchdog does not apply here (there is no
-    second process to kill); chaos ``kill``/``exit`` rules would take
-    the parent down and belong in parallel runs.
+    Serial runs thread the parent telemetry and span recorder straight
+    through; a cell's ledger phase totals are the ``phase`` spans its
+    successful attempt recorded.  The watchdog does not apply here
+    (there is no second process to kill); chaos ``kill``/``exit`` rules
+    would take the parent down and belong in parallel runs.
     """
     for index, job in pending:
         if res.cancel is not None and res.cancel.soft:
@@ -859,6 +854,9 @@ def _run_serial(
         started = time.perf_counter()
         failed = False
         while True:
+            spans_before = (
+                len(span_recorder.spans) if span_recorder is not None else 0
+            )
             try:
                 if res.chaos is not None:
                     res.chaos.apply(job.spec.label(), attempts)
@@ -925,7 +923,11 @@ def _run_serial(
         _count_executed(telemetry)
         resolved[index] = result
         if provenance is not None:
-            provenance[index] = ("executed", wall_time_s, {})
+            provenance[index] = (
+                "executed", wall_time_s,
+                phase_totals(span_recorder.spans[spans_before:])
+                if span_recorder is not None else {},
+            )
         if observer is not None:
             observer(JobEvent(
                 "done", job.spec.label(), index, wall_time_s=wall_time_s,
@@ -957,16 +959,6 @@ def _worker_init() -> None:
             signal_module.signal(signum, signal_module.SIG_DFL)
         except (ValueError, OSError):
             pass
-
-
-def _phase_totals(profiler_state: list | None) -> dict[str, float]:
-    """Flatten exported profiler state into ``{"a/b": seconds}`` totals."""
-    if not profiler_state:
-        return {}
-    return {
-        "/".join(path): float(seconds)
-        for path, _calls, seconds in profiler_state
-    }
 
 
 def _deadline_s(spec: JobSpec, job_timeout_s: float | None) -> float | None:
@@ -1040,7 +1032,6 @@ def _run_parallel(
             interval_instructions=(
                 telemetry.interval_instructions if telemetry is not None else 0
             ),
-            profile=telemetry is not None and telemetry.profiler.enabled,
             chaos=res.chaos,
             spans=span_recorder is not None,
             trace_id=(
@@ -1220,7 +1211,10 @@ def _run_parallel(
                         provenance[index] = (
                             "executed",
                             outcome.wall_time_s,
-                            _phase_totals(outcome.profiler_state),
+                            phase_totals(
+                                Span.from_dict(record)
+                                for record in outcome.span_state or ()
+                            ),
                         )
                     _event("done", index, wall_time_s=outcome.wall_time_s)
                     _complete(job, outcome.result, cache, journal)

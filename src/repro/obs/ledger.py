@@ -5,7 +5,7 @@ resolved run — the identity of the cell (workload/scheme/seed/budget
 plus the :meth:`JobSpec fingerprint <repro.jobs.spec.JobSpec.fingerprint>`
 of its inputs), where the result came from (executed, result cache or
 resume journal), the headline metrics, wall time, the repository commit
-and optional profiler phase totals.  ``run_workload``, the sweep
+and optional per-phase wall-time totals.  ``run_workload``, the sweep
 engine's ``run_jobs`` and the CLI all append to it, so a directory's
 ledger is the full history of what was simulated there and what it
 measured — the raw material of the ``repro diff`` regression gate and
@@ -75,8 +75,8 @@ class RunRecord:
     metrics: dict[str, float]
     git_sha: str | None = None
     timestamp: float = 0.0
-    #: Profiler phase totals (``{"stage1": seconds, ...}``); empty when
-    #: the run was not profiled.
+    #: Per-phase wall seconds (``{"stage1": seconds, ...}``) summed
+    #: from the run's ``phase`` spans; empty when no spans were recorded.
     profile: dict[str, float] = field(default_factory=dict)
     #: Sweep-engine accounting for grid runs (``{"total": N, ...}``);
     #: empty for standalone runs.

@@ -9,11 +9,13 @@ under it, and the runner's ``stage1`` / ``warm-up`` / ``measure`` /
 ``reduce`` phases land under their cell.  Retries, watchdog timeouts,
 requeues and quarantines appear as zero-duration ``event`` spans.
 
-Like the :class:`~repro.telemetry.profiler.Profiler`, a worker process
-records into its own :class:`SpanRecorder` and ships the finished
-spans back via :meth:`SpanRecorder.export_state`; the parent folds
-them in with :meth:`SpanRecorder.merge_state` in deterministic job
-order.  Persisted next to the sweep journal as ``spans.jsonl``
+Spans are the repository's one timing primitive: ``--profile`` prints
+:func:`phase_wall_table` over a recorder's ``phase`` spans, and ledger
+records carry :func:`phase_totals` of each cell's phases.  A worker
+process records into its own :class:`SpanRecorder` and ships the
+finished spans back via :meth:`SpanRecorder.export_state`; the parent
+folds them in with :meth:`SpanRecorder.merge_state` in deterministic
+job order.  Persisted next to the sweep journal as ``spans.jsonl``
 (one record per finished span, schema :data:`SPAN_SCHEMA_VERSION`),
 the file shares the journal's robustness contract: a torn final line
 is tolerated on read, earlier corruption raises.
@@ -184,8 +186,8 @@ class SpanRecorder:
             ``spans.jsonl`` writer while the sweep is still running.
         enabled: a disabled recorder records nothing and its
             :meth:`span` context manager is a shared no-op (the
-            :data:`DISABLED_SPANS` singleton pattern, mirroring
-            :data:`~repro.telemetry.profiler.DISABLED_PROFILER`).
+            :data:`DISABLED_SPANS` singleton pattern: a phase bracket
+            costs one ``enabled`` check when nobody is recording).
     """
 
     def __init__(
@@ -520,12 +522,12 @@ def load_spans(path: str | Path) -> list[Span]:
     return spans
 
 
-def phase_wall_table(spans: list[Span]) -> list[tuple[str, int, float, float]]:
+def phase_wall_table(spans) -> list[tuple[str, int, float, float]]:
     """Per-phase wall-time rows from a span set: (name, calls, total, mean).
 
     Covers ``phase``-category spans (the runner's stage1/warm-up/
-    measure/reduce brackets), sorted by descending total — the
-    ``repro stats --from-spans`` view of a finished run.
+    measure/reduce brackets), sorted by descending total — the table
+    ``--profile`` and ``repro stats --from-spans`` print.
     """
     totals: dict[str, tuple[int, float]] = {}
     for span in spans:
@@ -539,3 +541,9 @@ def phase_wall_table(spans: list[Span]) -> list[tuple[str, int, float, float]]:
     ]
     rows.sort(key=lambda row: -row[2])
     return rows
+
+
+def phase_totals(spans) -> dict[str, float]:
+    """Total wall seconds per phase name (a ledger record's ``profile``)."""
+    return {name: total for name, _calls, total, _mean
+            in phase_wall_table(spans)}

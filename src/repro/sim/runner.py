@@ -33,13 +33,13 @@ from repro.noc.mesh import Mesh
 from repro.nuca import NucaLLC, make_policy
 from repro.nuca.kernel import kernel_supported
 from repro.nuca.kernel import replay as kernel_replay
-from repro.obs.spans import DISABLED_SPANS
+from repro.obs.spans import DISABLED_SPANS, phase_totals
 from repro.reram.endurance import lifetimes_for_banks
 from repro.reram.energy import energy_of_result
 from repro.reram.wear import WearTracker
 from repro.sim.calibrate import calibrated_base_cpi, config_signature
 from repro.sim.metrics import MatrixResult, WorkloadSchemeResult
-from repro.telemetry import DISABLED_PROFILER, Telemetry
+from repro.telemetry import Telemetry
 from repro.telemetry.intervals import IntervalSeries
 from repro.trace.workloads import Workload
 
@@ -339,7 +339,6 @@ def prepare_replay(
     stage1: Stage1Cache | None = None,
     fault_config: FaultConfig | None = None,
     telemetry: Telemetry | None = None,
-    prof=DISABLED_PROFILER,
     spans=DISABLED_SPANS,
 ) -> ReplayInputs:
     """Build the warmed stage-2 state without running the measured loop.
@@ -355,7 +354,7 @@ def prepare_replay(
             f"configuration has {config.num_cores} cores"
         )
     stage1 = Stage1Cache() if stage1 is None else stage1
-    with prof.phase("stage1"), spans.span("stage1"):
+    with spans.span("stage1"):
         results1 = [
             stage1.get(app, config, seed=seed, n_instructions=n_instructions)
             for app in workload.apps
@@ -382,7 +381,7 @@ def prepare_replay(
     llc = NucaLLC(
         config, policy, mesh, memory, wear, faults=injector, telemetry=telemetry
     )
-    with prof.phase("warm-up"), spans.span("warm-up"):
+    with spans.span("warm-up"):
         _warm_llc(llc, workload, config, results1, seed=seed)
         if injector is not None:
             llc.apply_faults(wear.snapshot())
@@ -460,18 +459,17 @@ def run_workload(
 
     ``telemetry`` opts into observability (see ``docs/OBSERVABILITY.md``):
     the components register their instruments on its registry, structured
-    events flow to its trace, the run is phase-timed by its profiler,
-    and — when ``telemetry.interval_instructions`` is set — the measured
-    phase periodically snapshots the registry into the result's
-    ``intervals`` series.  Passing ``None`` (the default) leaves the
-    simulation on its un-instrumented fast path.
+    events flow to its trace, and — when ``telemetry.interval_instructions``
+    is set — the measured phase periodically snapshots the registry into
+    the result's ``intervals`` series.  Passing ``None`` (the default)
+    leaves the simulation on its un-instrumented fast path.
 
     ``ledger`` — a :class:`~repro.obs.ledger.RunLedger` or its path —
     appends one provenance record for this run (identity, fingerprint,
-    wall time, headline metrics, and — when the telemetry profiler is
-    enabled — this run's phase totals).  Sweeps should pass the ledger
-    to :func:`run_matrix`/``run_jobs`` instead, which also stamp how
-    each cell was resolved.
+    wall time, headline metrics, and — when ``spans`` records — this
+    run's phase totals).  Sweeps should pass the ledger to
+    :func:`run_matrix`/``run_jobs`` instead, which also stamp how each
+    cell was resolved.
 
     ``use_kernel`` selects the measured-loop implementation: ``None``
     (default) auto-engages the vectorized replay kernel
@@ -484,33 +482,28 @@ def run_workload(
     disables auto-engagement globally.
 
     ``spans`` — a :class:`~repro.obs.spans.SpanRecorder` — brackets the
-    run's phases (stage1 / warm-up / measure / reduce) as spans for the
-    live-monitoring layer (see ``docs/OBSERVABILITY.md``).  It is
-    deliberately separate from ``telemetry``: span brackets sit outside
-    the measured loop, so a spans-only run keeps the vectorized kernel
-    engaged.  Defaults to ``telemetry.spans`` when a handle carries
-    one, else to the disabled recorder.
+    run's phases (stage1 / warm-up / measure / reduce) as ``phase``
+    spans: the one timing primitive behind ``--profile``, the ledger's
+    phase totals and the live-monitoring layer (see
+    ``docs/OBSERVABILITY.md``).  It is deliberately separate from
+    ``telemetry``: span brackets sit outside the measured loop, so a
+    timed run keeps the vectorized kernel engaged.  ``None`` records
+    nothing.
     """
     stage1 = Stage1Cache() if stage1 is None else stage1
     if telemetry is not None:
         stage1.bind_telemetry(telemetry.registry)
-    if spans is None:
-        spans = (
-            telemetry.spans
-            if telemetry is not None and telemetry.spans is not None
-            else DISABLED_SPANS
-        )
-    prof = telemetry.profiler if telemetry is not None else DISABLED_PROFILER
-    # Ledger provenance: wall time from here; profiler phase totals as a
-    # delta, so a handle reused across runs records only this run's share.
+    spans = DISABLED_SPANS if spans is None else spans
+    # Ledger provenance: wall time from here; phase totals from the
+    # spans recorded after this mark (a shared recorder keeps earlier
+    # runs' spans too).
     run_started = time.perf_counter()
-    prof_before = prof.export_state() if prof.enabled else []
+    spans_before = len(spans.spans)
     config = config or baseline_config()
     prep = prepare_replay(
         workload, scheme, config,
         seed=seed, n_instructions=n_instructions, stage1=stage1,
-        fault_config=fault_config, telemetry=telemetry, prof=prof,
-        spans=spans,
+        fault_config=fault_config, telemetry=telemetry, spans=spans,
     )
     results1 = prep.results1
     mesh = prep.mesh
@@ -546,7 +539,7 @@ def run_workload(
         snapshot = telemetry.registry.snapshot
 
     fast = _kernel_engaged(use_kernel, telemetry, prep)
-    with prof.phase("measure"), spans.span("measure", kernel=fast):
+    with spans.span("measure", kernel=fast):
         if fast:
             scheme_lat_sorted = kernel_replay(
                 llc, merged,
@@ -571,7 +564,7 @@ def run_workload(
             sample=snapshot(),
         )
 
-    with prof.phase("reduce"), spans.span("reduce"):
+    with spans.span("reduce"):
         # Un-sort latencies back to per-core record order.
         scheme_lat = np.empty(merged.total, dtype=np.float32)
         scheme_lat[merged.order] = scheme_lat_sorted
@@ -631,13 +624,6 @@ def run_workload(
         from repro.jobs.spec import JobSpec
         from repro.obs.ledger import RunRecord, as_ledger
 
-        profile: dict[str, float] = {}
-        if prof.enabled:
-            before = {tuple(p): s for p, _calls, s in prof_before}
-            for path, _calls, seconds in prof.export_state():
-                share = seconds - before.get(tuple(path), 0.0)
-                if share > 0.0:
-                    profile["/".join(path)] = share
         fingerprint = JobSpec.for_run(
             workload, scheme, config,
             seed=seed, n_instructions=n_instructions,
@@ -650,7 +636,7 @@ def run_workload(
                 n_instructions=n_instructions,
                 wall_time_s=time.perf_counter() - run_started,
                 fingerprint=fingerprint,
-                profile=profile,
+                profile=phase_totals(spans.spans[spans_before:]),
             ))
 
     return result

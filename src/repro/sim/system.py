@@ -90,8 +90,9 @@ class System:
         """One workload under one NUCA scheme.
 
         ``telemetry`` opts the run into observability: counters, event
-        tracing, interval dumps and phase profiling (see
-        ``docs/OBSERVABILITY.md``).
+        tracing and interval dumps (see ``docs/OBSERVABILITY.md``).
+        Phase wall time is recorded by span tracing, not telemetry
+        (``run_workload(spans=...)``).
         """
         return run_workload(
             self.workload(which),

@@ -1,7 +1,7 @@
-"""Telemetry: counters/gauges/histograms, event tracing, interval dumps
-and phase profiling for the NUCA simulation pipeline.
+"""Telemetry: counters/gauges/histograms, event tracing and interval
+dumps for the NUCA simulation pipeline.
 
-One :class:`Telemetry` handle bundles the four facilities and is
+One :class:`Telemetry` handle bundles the three facilities and is
 threaded through :func:`~repro.sim.runner.run_workload`; every
 instrumented component (:class:`~repro.nuca.llc.NucaLLC`, the mapping
 policies, the criticality predictor, the enhanced TLB, the wear tracker,
@@ -15,12 +15,16 @@ Quick start::
 
     from repro import System, Telemetry
 
-    tel = Telemetry(trace=True, interval_instructions=5_000, profile=True)
+    tel = Telemetry(trace=True, interval_instructions=5_000)
     result = System(seed=1).run(0, "Re-NUCA", telemetry=tel)
     print(tel.registry.render())            # counter/gauge summary
     print(result.intervals.bank_write_matrix())   # wear time series
     tel.trace.export_jsonl("events.jsonl")  # structured event log
-    print(tel.profiler.report())            # where the wall time went
+
+Phase wall time (where a run spent its time) is not a telemetry
+facility: it is recorded as ``phase`` spans by
+:class:`~repro.obs.spans.SpanRecorder`, which — unlike a telemetry
+handle — leaves the vectorized replay kernel engaged.
 """
 
 from __future__ import annotations
@@ -32,7 +36,6 @@ from repro.telemetry.events import (
     load_events,
 )
 from repro.telemetry.intervals import IntervalSeries
-from repro.telemetry.profiler import DISABLED_PROFILER, Profiler
 from repro.telemetry.registry import (
     Counter,
     Gauge,
@@ -47,8 +50,6 @@ __all__ = [
     "TraceEvent",
     "load_events",
     "IntervalSeries",
-    "DISABLED_PROFILER",
-    "Profiler",
     "Counter",
     "Gauge",
     "Histogram",
@@ -70,10 +71,6 @@ class Telemetry:
         trace_capacity: ring-buffer retention when tracing is enabled.
         interval_instructions: snapshot the registry every N committed
             instructions (0 disables interval dumps).
-        profile: enable the nested phase profiler.
-        spans: enable span tracing (``True`` for a fresh
-            :class:`~repro.obs.spans.SpanRecorder`, or pass a recorder
-            to share a sweep-wide trace id and sink).
 
     The registry is always live — counters and gauges are cheap and the
     summary they feed is the point of asking for telemetry at all.
@@ -85,8 +82,6 @@ class Telemetry:
         trace: bool = False,
         trace_capacity: int = DEFAULT_TRACE_CAPACITY,
         interval_instructions: int = 0,
-        profile: bool = False,
-        spans=False,
     ) -> None:
         if interval_instructions < 0:
             raise TelemetryError("interval_instructions must be >= 0")
@@ -95,35 +90,17 @@ class Telemetry:
             EventTrace(trace_capacity) if trace else None
         )
         self.interval_instructions = interval_instructions
-        self.profiler = Profiler(enabled=profile)
-        if spans is False or spans is None:
-            self.spans = None
-        elif spans is True:
-            # Local import: repro.obs.spans has no telemetry imports,
-            # but keeping it lazy spares every un-instrumented run the
-            # module load.
-            from repro.obs.spans import SpanRecorder
-
-            self.spans = SpanRecorder()
-        else:
-            self.spans = spans
-
-    def phase(self, name: str):
-        """Shorthand for ``telemetry.profiler.phase(name)``."""
-        return self.profiler.phase(name)
 
     def counter(self, name: str) -> Counter:
         """Shorthand for ``telemetry.registry.counter(name)``."""
         return self.registry.counter(name)
 
     def summary(self) -> str:
-        """Registry dump plus trace/profile one-liners."""
+        """Registry dump plus a trace one-liner."""
         lines = [self.registry.render()]
         if self.trace is not None:
             lines.append(
                 f"trace: {len(self.trace)} events retained "
                 f"({self.trace.emitted} emitted, {self.trace.dropped} dropped)"
             )
-        if self.profiler.enabled:
-            lines.append(self.profiler.report())
         return "\n".join(lines)

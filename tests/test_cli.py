@@ -141,6 +141,59 @@ class TestCommands:
 
         assert all(e.fields["scheme"] == "S-NUCA" for e in load_events(trace))
 
+    def test_compare_profile_keeps_the_kernel(self, tmp_path, capsys):
+        # Observing must not change which engine runs: --profile times
+        # the vectorized kernel the plain command uses, and prints the
+        # same results table ahead of its phase table.
+        from repro.obs.spans import load_spans
+
+        argv = ["compare", "--schemes", "S-NUCA", "Re-NUCA",
+                "--instructions", "4000"]
+        assert main(argv) == 0
+        plain = capsys.readouterr().out
+        spans = tmp_path / "spans.jsonl"
+        assert main(argv + ["--profile", "--spans", str(spans)]) == 0
+        profiled = capsys.readouterr().out
+        assert profiled.startswith(plain)
+        assert "measure" in profiled[len(plain):]
+        measures = [s for s in load_spans(spans) if s.name == "measure"]
+        assert len(measures) == 2
+        assert all(s.attrs["kernel"] is True for s in measures)
+
+    def test_compare_parallel_trace_out_stamps_each_scheme(
+        self, tmp_path, capsys,
+    ):
+        # At -j 2 the cells' events merge back already stamped; the
+        # file holds both schemes' events, each under its own label.
+        from repro.telemetry import load_events
+
+        trace = tmp_path / "t.jsonl"
+        assert main([
+            "compare", "--schemes", "S-NUCA", "Re-NUCA",
+            "--instructions", "4000", "-j", "2", "--trace-out", str(trace),
+        ]) == 0
+        assert "events to" in capsys.readouterr().out
+        schemes = {e.fields["scheme"] for e in load_events(trace)}
+        assert schemes == {"S-NUCA", "Re-NUCA"}
+
+    def test_compare_profile_ledger_records_phase_totals(
+        self, tmp_path, capsys,
+    ):
+        # A serial profiled compare writes each cell's phase split.
+        from repro.obs.ledger import RunLedger
+
+        ledger = tmp_path / "ledger.jsonl"
+        assert main([
+            "compare", "--schemes", "S-NUCA", "Re-NUCA",
+            "--instructions", "4000", "--profile", "--ledger", str(ledger),
+        ]) == 0
+        capsys.readouterr()
+        records = RunLedger(ledger).load()
+        assert [r.scheme for r in records] == ["S-NUCA", "Re-NUCA"]
+        phases = {"stage1", "warm-up", "measure", "reduce"}
+        assert all(set(r.profile) == phases for r in records)
+        assert all(v >= 0.0 for r in records for v in r.profile.values())
+
     def test_endoflife_small(self, capsys):
         code = main([
             "endoflife", "--ages", "1.1", "--schemes", "S-NUCA",

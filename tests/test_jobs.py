@@ -532,25 +532,47 @@ class TestRunJobsLedger:
 
 
 class TestParallelProfilerMerge:
-    """Worker profiler timings must land in the parent handle."""
+    """Worker phase spans are the parallel run's only timing channel."""
+
+    PHASES = {"stage1", "warm-up", "measure", "reduce"}
 
     def test_parent_profiler_sees_worker_phases(self, flat_cpi, tmp_path):
-        from repro.obs.ledger import RunLedger
+        import os
 
-        telemetry = Telemetry(profile=True)
+        from repro.obs.ledger import RunLedger
+        from repro.obs.spans import SpanRecorder
+
+        recorder = SpanRecorder()
         path = tmp_path / "ledger.jsonl"
-        run_jobs(grid_jobs()[:2], max_workers=2, telemetry=telemetry,
+        run_jobs(grid_jobs()[:2], max_workers=2, spans=recorder,
                  ledger=path)
-        phases = {tuple(p) for p, _c, _s in telemetry.profiler.export_state()}
-        assert {("stage1",), ("measure",), ("reduce",)} <= phases
+        phases = [s for s in recorder.spans if s.category == "phase"]
+        assert sorted(s.name for s in phases) == sorted([*self.PHASES] * 2)
+        assert all(s.pid != os.getpid() for s in phases)
         # And the per-job phase split is in the ledger records.
         records = RunLedger(path).load()
-        assert all("measure" in r.profile for r in records)
+        assert all(set(r.profile) == self.PHASES for r in records)
 
-    def test_disabled_profiler_not_polluted(self, flat_cpi):
-        from repro.telemetry import DISABLED_PROFILER
+    def test_disabled_profiler_not_polluted(self, flat_cpi, tmp_path):
+        from repro.obs.ledger import RunLedger
+        from repro.obs.spans import DISABLED_SPANS
 
-        telemetry = Telemetry()          # profiler disabled
-        assert telemetry.profiler is not DISABLED_PROFILER or True
-        run_jobs(grid_jobs()[:2], max_workers=2, telemetry=telemetry)
-        assert DISABLED_PROFILER.export_state() == []
+        path = tmp_path / "ledger.jsonl"
+        run_jobs(grid_jobs()[:2], max_workers=2, ledger=path)
+        run_jobs(grid_jobs()[2:3], max_workers=1, ledger=path)
+        assert DISABLED_SPANS.spans == []
+        assert all(r.profile == {} for r in RunLedger(path).load())
+
+    def test_serial_and_parallel_ledgers_share_phase_keys(
+        self, flat_cpi, tmp_path,
+    ):
+        from repro.obs.ledger import RunLedger
+        from repro.obs.spans import SpanRecorder
+
+        keys = {}
+        for workers in (1, 2):
+            path = tmp_path / f"ledger-{workers}.jsonl"
+            run_jobs(grid_jobs()[:2], max_workers=workers,
+                     spans=SpanRecorder(), ledger=path)
+            keys[workers] = [set(r.profile) for r in RunLedger(path).load()]
+        assert keys[1] == keys[2] == [self.PHASES, self.PHASES]

@@ -36,6 +36,7 @@ from repro.obs.spans import (
     canonical_key,
     canonical_span_set,
     load_spans,
+    phase_totals,
     phase_wall_table,
 )
 from repro.obs.top import (
@@ -329,6 +330,17 @@ class TestPhaseWallTable:
 
     def test_empty_input_empty_table(self):
         assert phase_wall_table([]) == []
+
+    def test_phase_totals_sum_each_phase(self):
+        spans = [
+            make_span("measure", start=0.0, end=2.0),
+            make_span("measure", start=0.0, end=4.0, span_id="s2"),
+            make_span("reduce", start=0.0, end=0.5, span_id="s3"),
+            make_span("cell", "job", span_id="s4"),
+        ]
+        totals = phase_totals(spans)
+        assert totals == pytest.approx({"measure": 6.0, "reduce": 0.5})
+        assert phase_totals([]) == {}
 
 
 # -- the monitor state and HTTP server ---------------------------------------
@@ -817,13 +829,3 @@ class TestMonitoredSweepE2E:
     def test_top_cli_requires_a_source(self, capsys):
         assert main(["top"]) == 2
         assert "error:" in capsys.readouterr().err
-
-
-class TestTelemetrySpansHandle:
-    def test_telemetry_spans_flag(self):
-        assert Telemetry().spans is None
-        assert Telemetry(spans=False).spans is None
-        handle = Telemetry(spans=True)
-        assert isinstance(handle.spans, SpanRecorder)
-        rec = SpanRecorder(trace_id="tfixed")
-        assert Telemetry(spans=rec).spans is rec

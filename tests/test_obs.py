@@ -341,7 +341,7 @@ class TestHtmlReport:
             ledger_records=[make_record(profile={"measure": 1.0})],
         )
         for heading in ("Scheme comparison", "Wear heatmaps",
-                        "Interval write timelines", "Profiler phases",
+                        "Interval write timelines", "Phase timings",
                         "Run ledger history"):
             assert heading in html
 

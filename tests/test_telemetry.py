@@ -1,9 +1,9 @@
-"""Telemetry subsystem: registry, event trace, profiler, intervals.
+"""Telemetry subsystem: registry, event trace, intervals, phase profiling.
 
 Covers the observability contracts documented in docs/OBSERVABILITY.md:
 hierarchical instrument naming, JSONL event round-trips, ring-buffer
-retention, nested phase timing, interval series arithmetic — and the
-headline guarantee that a run without a telemetry handle behaves
+retention, nested phase timing over spans, interval series
+arithmetic — and the headline guarantee that a run without a telemetry handle behaves
 identically to one with it.
 """
 
@@ -12,14 +12,14 @@ import json
 import numpy as np
 import pytest
 
+from repro.cli import _phase_table
 from repro.config import baseline_config
+from repro.obs.spans import DISABLED_SPANS, SpanRecorder, phase_wall_table
 from repro.sim.runner import Stage1Cache, run_workload
 from repro.telemetry import (
-    DISABLED_PROFILER,
     KNOWN_KINDS,
     EventTrace,
     IntervalSeries,
-    Profiler,
     StatsRegistry,
     Telemetry,
     TelemetryError,
@@ -184,44 +184,40 @@ class TestEventTrace:
 
 
 class TestProfiler:
+    """Phase profiling (``--profile``): ``phase`` spans, one table."""
+
     def test_nested_paths_and_calls(self):
-        prof = Profiler()
-        with prof.phase("measure"):
-            with prof.phase("cpt"):
+        rec = SpanRecorder()
+        with rec.span("measure"):
+            with rec.span("cpt"):
                 pass
-            with prof.phase("cpt"):
+            with rec.span("cpt"):
                 pass
-        assert prof.calls() == {"measure": 1, "measure/cpt": 2}
-        totals = prof.totals()
-        assert totals["measure"] >= totals["measure/cpt"] >= 0.0
+        outer = next(s for s in rec.spans if s.name == "measure")
+        inner = [s for s in rec.spans if s.name == "cpt"]
+        assert all(s.parent_id == outer.span_id for s in inner)
+        assert len({s.span_id for s in inner}) == 2
+        rows = {name: (calls, total)
+                for name, calls, total, _mean in phase_wall_table(rec.spans)}
+        assert rows["measure"][0] == 1 and rows["cpt"][0] == 2
+        assert rows["measure"][1] >= max(s.duration_s for s in inner) >= 0.0
 
     def test_disabled_returns_shared_null_context(self):
-        prof = Profiler(enabled=False)
-        assert prof.phase("a") is prof.phase("b")
-        with prof.phase("a"):
+        rec = SpanRecorder(enabled=False)
+        assert rec.span("a") is rec.span("b")
+        assert rec.span("a") is DISABLED_SPANS.span("c")
+        with rec.span("a"):
             pass
-        assert prof.totals() == {}
-        assert DISABLED_PROFILER.totals() == {}
-
-    def test_bad_phase_name(self):
-        with pytest.raises(TelemetryError):
-            Profiler().phase("a/b")
-
-    def test_reset_inside_phase_rejected(self):
-        prof = Profiler()
-        with prof.phase("outer"):
-            with pytest.raises(TelemetryError):
-                prof.reset()
-        prof.reset()
-        assert prof.totals() == {}
+        assert rec.spans == []
+        assert DISABLED_SPANS.spans == []
 
     def test_report_lists_phases(self):
-        prof = Profiler()
-        with prof.phase("measure"):
+        rec = SpanRecorder()
+        with rec.span("measure"):
             pass
-        report = prof.report()
-        assert "measure" in report and "share" in report
-        assert Profiler().report() == "(no phases recorded)"
+        report = _phase_table(rec.spans)
+        assert "measure" in report and "total [s]" in report
+        assert _phase_table(SpanRecorder().spans) == ""
 
 
 class TestIntervalSeries:
@@ -268,7 +264,6 @@ class TestTelemetryHandle:
     def test_defaults_are_cheap(self):
         tel = Telemetry()
         assert tel.trace is None
-        assert not tel.profiler.enabled
         assert tel.interval_instructions == 0
 
     def test_negative_interval_rejected(self):
@@ -276,15 +271,12 @@ class TestTelemetryHandle:
             Telemetry(interval_instructions=-1)
 
     def test_summary_mentions_trace_and_registry(self):
-        tel = Telemetry(trace=True, profile=True)
+        tel = Telemetry(trace=True)
         tel.counter("llc.fetches").inc()
         tel.trace.emit("llc.hit")
-        with tel.phase("measure"):
-            pass
         summary = tel.summary()
         assert "llc.fetches" in summary
         assert "1 events retained" in summary
-        assert "measure" in summary
 
 
 class TestRunnerIntegration:
@@ -294,14 +286,13 @@ class TestRunnerIntegration:
     def instrumented(self):
         config = baseline_config()
         workload = make_workloads(num_cores=config.num_cores, seed=5)[0]
-        telemetry = Telemetry(
-            trace=True, interval_instructions=20_000, profile=True,
-        )
+        telemetry = Telemetry(trace=True, interval_instructions=20_000)
+        recorder = SpanRecorder()
         result = run_workload(
             workload, "Re-NUCA", config, seed=5, n_instructions=6000,
-            stage1=Stage1Cache(), telemetry=telemetry,
+            stage1=Stage1Cache(), telemetry=telemetry, spans=recorder,
         )
-        return result, telemetry
+        return result, telemetry, recorder
 
     def test_disabled_telemetry_changes_nothing(self):
         config = baseline_config()
@@ -309,7 +300,7 @@ class TestRunnerIntegration:
         stage1 = Stage1Cache()
         plain = run_workload(workload, "Re-NUCA", config, seed=5,
                              n_instructions=6000, stage1=stage1)
-        tel = Telemetry(trace=True, interval_instructions=10_000, profile=True)
+        tel = Telemetry(trace=True, interval_instructions=10_000)
         traced = run_workload(workload, "Re-NUCA", config, seed=5,
                               n_instructions=6000, stage1=stage1,
                               telemetry=tel)
@@ -320,7 +311,7 @@ class TestRunnerIntegration:
         assert traced.intervals is not None
 
     def test_counters_match_result(self, instrumented):
-        result, telemetry = instrumented
+        result, telemetry, _ = instrumented
         snap = telemetry.registry.snapshot()
         assert snap["llc.fetches"] == result.llc_fetches
         assert snap["llc.fetch_hit_rate"] == pytest.approx(
@@ -329,7 +320,7 @@ class TestRunnerIntegration:
         assert snap["llc.total_writes"] == result.bank_writes.sum()
 
     def test_interval_series_closed_and_consistent(self, instrumented):
-        result, _ = instrumented
+        result, _, _ = instrumented
         series = result.intervals
         assert len(series.accesses) >= 2
         assert series.accesses == sorted(series.accesses)
@@ -341,18 +332,21 @@ class TestRunnerIntegration:
         )
 
     def test_trace_kinds_are_known(self, instrumented):
-        _, telemetry = instrumented
+        _, telemetry, _ = instrumented
         kinds = {event.kind for event in telemetry.trace.events()}
         assert kinds
         assert kinds <= KNOWN_KINDS
 
     def test_profiler_saw_all_phases(self, instrumented):
-        _, telemetry = instrumented
-        totals = telemetry.profiler.totals()
-        assert {"stage1", "warm-up", "measure", "reduce"} <= set(totals)
+        _, _, recorder = instrumented
+        phases = [s.name for s in recorder.spans if s.category == "phase"]
+        assert phases == ["stage1", "warm-up", "measure", "reduce"]
+        # A telemetry handle pins the reference replay; the span says so.
+        measure = next(s for s in recorder.spans if s.name == "measure")
+        assert measure.attrs["kernel"] is False
 
     def test_trace_round_trip_through_file(self, instrumented, tmp_path):
-        _, telemetry = instrumented
+        _, telemetry, _ = instrumented
         path = tmp_path / "run.jsonl"
         count = telemetry.trace.export_jsonl(path)
         events = load_events(path)
@@ -533,42 +527,47 @@ class TestHistogramPercentiles:
 
 
 class TestProfilerStateMerge:
-    """`Profiler.export_state`/`merge_state`: the worker hand-off."""
+    """Span ``export_state``/``merge_state``: the worker phase hand-off."""
 
     def test_export_round_trip(self):
-        worker = Profiler()
-        with worker.phase("stage1"):
+        worker = SpanRecorder()
+        with worker.span("stage1"):
             pass
-        with worker.phase("measure"), worker.phase("inner"):
+        with worker.span("measure"), worker.span("inner"):
             pass
-        parent = Profiler()
+        parent = SpanRecorder()
         parent.merge_state(worker.export_state())
         assert parent.export_state() == worker.export_state()
 
     def test_merge_accumulates_calls_and_seconds(self):
-        a, b = Profiler(), Profiler()
-        for prof in (a, b):
-            with prof.phase("measure"):
+        a, b = SpanRecorder(), SpanRecorder()
+        for rec in (a, b):
+            with rec.span("measure"):
                 pass
+        expected = sum(rec.spans[0].duration_s for rec in (a, b))
         a.merge_state(b.export_state())
-        paths = {tuple(p): calls for p, calls, _s in a.export_state()}
-        assert paths[("measure",)] == 2
+        [(name, calls, total, _mean)] = phase_wall_table(a.spans)
+        assert (name, calls) == ("measure", 2)
+        assert total == pytest.approx(expected)
 
     def test_state_survives_pickling(self):
         import pickle
 
-        worker = Profiler()
-        with worker.phase("reduce"):
+        worker = SpanRecorder()
+        with worker.span("reduce"):
             pass
         state = pickle.loads(pickle.dumps(worker.export_state()))
-        parent = Profiler()
+        parent = SpanRecorder()
         parent.merge_state(state)
-        assert "reduce" in parent.report()
+        assert "reduce" in _phase_table(parent.spans)
 
     def test_report_includes_merged_phases(self):
-        worker = Profiler()
-        with worker.phase("stage1"):
+        worker = SpanRecorder()
+        with worker.span("stage1"):
             pass
-        parent = Profiler()
-        parent.merge_state(worker.export_state())
-        assert "stage1" in parent.report()
+        parent = SpanRecorder()
+        with parent.span("measure"):
+            pass
+        parent.merge_state(worker.export_state(), extra={"scheme": "S-NUCA"})
+        report = _phase_table(parent.spans)
+        assert "stage1" in report and "measure" in report
